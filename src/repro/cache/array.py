@@ -82,7 +82,8 @@ class CacheArray:
 
     def invalidate(self, block_addr: int) -> Optional[CacheBlock]:
         """Remove a block (returns it, or None if absent)."""
-        return self._sets[self.set_index(block_addr)].pop(block_addr, None)
+        return self._sets[(block_addr >> self._block_shift)
+                          & self._set_mask].pop(block_addr, None)
 
     def resident_blocks(self) -> Iterator[CacheBlock]:
         for cache_set in self._sets:

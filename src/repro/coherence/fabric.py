@@ -20,17 +20,22 @@ class CoherenceFabric(abc.ABC):
 
     def __init__(self) -> None:
         self._ports: Dict[int, ConflictPort] = {}
+        self._port_list: List[ConflictPort] = []
 
     def attach(self, port: ConflictPort) -> None:
         """Register a core's conflict/invalidaton port."""
         self._ports[port.core_id] = port
+        # Ports only change here; every broadcast loop reads the cached
+        # core-id-ordered list instead of re-sorting per request.
+        self._port_list = [self._ports[cid] for cid in sorted(self._ports)]
 
     def port(self, core_id: int) -> ConflictPort:
         return self._ports[core_id]
 
     @property
     def ports(self) -> List[ConflictPort]:
-        return [self._ports[cid] for cid in sorted(self._ports)]
+        """Attached ports in core-id order (shared; do not mutate)."""
+        return self._port_list
 
     @abc.abstractmethod
     def request(self, requester_core: int, requester_thread: int,

@@ -15,7 +15,9 @@ Checked invariants:
 3. **Directory accuracy (one-sided)** — every L1 that holds a block is
    covered by the directory's owner/sharer information for it (stale
    directory *extra* sharers are legal — silent S replacement — but a
-   *missing* holder is a protocol bug).
+   *missing* holder is a protocol bug). Under snooping the residency
+   maps play that role: snoop invalidations and page scrubs reach only
+   the owner and sharers, so an untracked holder would keep a stale copy.
 4. **Isolation coverage** — every block in a scheduled transaction's
    write-set signature is either cached by that core or covered by a
    sticky/check-all obligation, so conflicting requests still reach the
@@ -83,7 +85,9 @@ def _directory_covers(system, addr, core_id) -> bool:
                 or core_id in entry.sticky or entry.lost_info
                 or entry.must_check_all)
     if isinstance(fabric, SnoopingFabric):
-        return True  # broadcasts reach everyone by construction
+        # Conflict checks are broadcast, so every signature is reached
+        # whatever the residency maps say (invariant 3 checks those).
+        return True
     if isinstance(fabric, MultiChipFabric):
         chip = fabric.chip_of(core_id)
         entry = fabric.chip_entry_view(chip, addr)
@@ -96,13 +100,20 @@ def _directory_covers(system, addr, core_id) -> bool:
     raise InvariantViolation(f"unknown fabric {type(fabric).__name__}")
 
 
+def _tracks_holder(system, addr, core_id) -> bool:
+    fabric = system.fabric
+    if isinstance(fabric, SnoopingFabric):
+        return core_id in fabric.tracked_holders(addr)
+    return _directory_covers(system, addr, core_id)
+
+
 def check_directory_accuracy(system) -> int:
     """Invariant 3: every L1 holder is known to the directory."""
     checked = 0
     for core in system.cores:
         for block in core.l1.resident_blocks():
             checked += 1
-            if not _directory_covers(system, block.addr, core.core_id):
+            if not _tracks_holder(system, block.addr, core.core_id):
                 raise InvariantViolation(
                     f"core {core.core_id} caches {block.addr:#x} "
                     f"({block.state.value}) unknown to the directory")

@@ -16,14 +16,14 @@ phase, so a competing request observes consistent state.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.coherence.fabric import CoherenceFabric
-from repro.coherence.msgs import CoherenceResult, Timestamp
+from repro.coherence.msgs import CoherenceResult, ConflictPort, Timestamp
 from repro.interconnect.network import Network
 from repro.mem.address import AddressMap
 from repro.sim.resources import SimLock
@@ -47,16 +47,34 @@ class SnoopingFabric(CoherenceFabric):
         #: address/snoop phase; same-block transactions must also not
         #: overlap their data phases (different blocks may).
         self._block_locks: Dict[int, SimLock] = {}
-        # Who holds what, to target invalidations/downgrades. Unlike the
-        # directory this is *not* consulted for conflict checks (those are
-        # always broadcast); it only tracks cache residency.
+        # Who may hold what, to target invalidations/downgrades. Unlike
+        # the directory this is *not* consulted for conflict checks (those
+        # are always broadcast). Invariant: ``_owner`` plus ``_sharers``
+        # is a superset of the L1s holding the block — every fill follows
+        # a grant recorded here, while silent drops may leave stale extra
+        # entries — so snoop invalidations and page scrubs skip every
+        # other core (checked by invariant 3 and the model checker).
         self._owner: Dict[int, Optional[int]] = {}
         self._sharers: Dict[int, Set[int]] = {}
+        #: ``(core_id, port)`` in core-id order, rebuilt on attach.
+        self._snoopers: List[Tuple[int, ConflictPort]] = []
         self._c_requests = stats.counter("coherence.requests")
         self._c_nacks = stats.counter("coherence.nacks")
         self._c_bcast = stats.counter("coherence.snoops")
         self._c_mem = stats.counter("coherence.memory_fetches")
         self._c_l1_evict_tx = stats.counter("victimization.l1_tx")
+
+    def attach(self, port: ConflictPort) -> None:
+        super().attach(port)
+        self._snoopers = [(p.core_id, p) for p in self.ports]
+
+    def tracked_holders(self, block_addr: int) -> FrozenSet[int]:
+        """Cores that may cache the block: ``_owner`` plus ``_sharers``."""
+        holders = set(self._sharers.get(block_addr, ()))
+        owner = self._owner.get(block_addr)
+        if owner is not None:
+            holders.add(owner)
+        return frozenset(holders)
 
     def _block_lock(self, block_addr: int) -> SimLock:
         lock = self._block_locks.get(block_addr)
@@ -84,15 +102,17 @@ class SnoopingFabric(CoherenceFabric):
                 yield self.network.broadcast_from_bank(bank, "snoop")
 
                 owner = self._owner.get(block_addr)
+                sharers = self._sharers.get(block_addr, ())
                 blockers = []
-                for port in self.ports:
-                    if port.core_id == requester_core:
+                for core_id, port in self._snoopers:
+                    if core_id == requester_core:
                         continue
                     # The check and the coherence action are atomic per
                     # snooper: a clean core applies its invalidation /
                     # downgrade with the snoop itself. Deferring it to the
                     # grant would let a racing local hit read a doomed
-                    # copy after its signature tested clean.
+                    # copy after its signature tested clean. Only tracked
+                    # holders can have a copy to invalidate.
                     found = port.check_conflicts(
                         block_addr, is_write,
                         exclude_thread=requester_thread,
@@ -100,8 +120,9 @@ class SnoopingFabric(CoherenceFabric):
                     if found:
                         blockers.extend(found)
                     elif is_write:
-                        port.invalidate_block(block_addr)
-                    elif port.core_id == owner:
+                        if core_id == owner or core_id in sharers:
+                            port.invalidate_block(block_addr)
+                    elif core_id == owner:
                         port.downgrade_block(block_addr)
                 if blockers:
                     self._c_nacks.add()
@@ -156,8 +177,8 @@ class SnoopingFabric(CoherenceFabric):
             self._owner[block_addr] = None
         if not sharers and not any(
                 port.holds_transactional(block_addr)
-                for port in self.ports
-                if port.core_id != requester_core):
+                for core_id, port in self._snoopers
+                if core_id != requester_core):
             # E needs more than residency exclusivity: a non-resident
             # core may still hold the block in its read signature (e.g.
             # after a page-relocation scrub), and a silent E->M upgrade
@@ -168,7 +189,10 @@ class SnoopingFabric(CoherenceFabric):
         return MESI.SHARED
 
     def scrub_block(self, block_addr: int) -> None:
-        super().scrub_block(block_addr)
+        """Drop the block from every L1 that may hold it (the tracked
+        holders), from the L2, and from the residency maps."""
+        for core_id in sorted(self.tracked_holders(block_addr)):
+            self._ports[core_id].invalidate_block(block_addr)
         self.l2.invalidate(block_addr)
         self._owner.pop(block_addr, None)
         self._sharers.pop(block_addr, None)

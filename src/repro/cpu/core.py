@@ -116,15 +116,20 @@ class Core(ConflictPort):
             thread = slot.thread
             if thread is None or thread.tid == exclude_thread:
                 continue
+            ctx = thread.ctx
+            sig = ctx.signature
+            # An empty pair cannot conflict; most contexts of a broadcast
+            # are outside any transaction, so skip them before the ASID
+            # lookup and the filter tests.
+            if sig.read.is_empty and sig.write.is_empty:
+                continue
             # ASID filter: signatures never NACK another address space
             # (prevents cross-process interference, Section 2). The
             # ablation knob re-creates the interference for measurement.
             if self._use_asid_filter and thread.asid != asid:
                 continue
-            ctx = thread.ctx
-            if ctx.signature.conflicts(is_write, block_addr):
-                fp = ctx.signature.conflict_is_false_positive(
-                    is_write, block_addr)
+            if sig.conflicts(is_write, block_addr):
+                fp = sig.conflict_is_false_positive(is_write, block_addr)
                 ctx.note_nacked_older(requester_ts)
                 blockers.append(Blocker(self._core_id, thread.tid,
                                         ctx.timestamp, fp))
@@ -162,7 +167,10 @@ class Core(ConflictPort):
             if slot.thread is None:
                 continue
             sig = slot.thread.ctx.signature
-            if sig.read.contains(block_addr) or sig.write.contains(block_addr):
+            read, write = sig.read, sig.write
+            if read.is_empty and write.is_empty:
+                continue
+            if read.contains(block_addr) or write.contains(block_addr):
                 return True
         return False
 

@@ -26,14 +26,27 @@ class Network:
         #: Per-class counters, cached so the hot path skips the name
         #: formatting and registry lookup.
         self._class_counters = {}
+        #: Per-bank broadcast fan-out from the static placement:
+        #: (messages, hop sum, worst hop).
+        self._fanout = []
+        for bank_id in range(topology.num_banks):
+            hops = [topology.core_to_bank_hops(core_id, bank_id)
+                    for core_id in range(topology.num_cores)]
+            self._fanout.append((len(hops), sum(hops), max(hops, default=0)))
+
+    def _class_counter(self, msg_class: str):
+        counter = self._class_counters.get(msg_class)
+        if counter is None:
+            counter = self._class_counters[msg_class] = (
+                self._stats.counter(f"network.msg.{msg_class}"))
+        return counter
 
     def _charge(self, hops: int, msg_class: str) -> int:
         self._messages.value += 1
         self._hops.value += hops
         counter = self._class_counters.get(msg_class)
         if counter is None:
-            counter = self._class_counters[msg_class] = (
-                self._stats.counter(f"network.msg.{msg_class}"))
+            counter = self._class_counter(msg_class)
         counter.value += 1
         # Minimum one link traversal even for same-tile transfers (the
         # message still crosses the router/bank interface).
@@ -74,13 +87,10 @@ class Network:
         snooping protocol (Section 7): the latency is bounded by the farthest
         destination; per-message counters record the fan-out.
         """
-        worst = 0
-        for core_id in range(self.topology.num_cores):
-            hops = self.topology.core_to_bank_hops(core_id, bank_id)
-            self._messages.add()
-            self._hops.add(hops)
-            worst = max(worst, hops)
-        self._stats.counter(f"network.msg.{msg_class}").add()
+        messages, hop_sum, worst = self._fanout[bank_id]
+        self._messages.value += messages
+        self._hops.value += hop_sum
+        self._class_counter(msg_class).value += 1
         if self._stats.recorder is not None:
             self._stats.emit("net.msg", route="broadcast", src=bank_id,
                              dst=-1, cls=msg_class, hops=worst)

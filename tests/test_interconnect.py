@@ -64,6 +64,11 @@ class TestNetwork:
         latency = net.broadcast_from_bank(0, "snoop")
         assert stats.value("network.messages") == 16
         assert latency == 6 * 3  # farthest tile bounds the latency
+        net.broadcast_from_bank(0, "snoop")
+        assert stats.value("network.messages") == 32
+        assert stats.value("network.hops") == 2 * sum(
+            net.topology.core_to_bank_hops(c, 0) for c in range(16))
+        assert stats.value("network.msg.snoop") == 2
 
     def test_symmetric_bank_core(self):
         net, _ = self._net()

@@ -8,11 +8,15 @@ union soundness, clear).
 
 from hypothesis import given, settings, strategies as st
 
+from repro.common.config import SignatureConfig, SignatureKind
+from repro.signatures.counting import CountingPair
+from repro.signatures.factory import make_rw_pair
 from repro.signatures.bitselect import BitSelectSignature
 from repro.signatures.coarsebitselect import CoarseBitSelectSignature
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
 from repro.signatures.perfect import PerfectSignature
 from repro.signatures.rwpair import ReadWriteSignature
+from repro.verify.faults import make_lossy
 
 block_addrs = st.lists(
     st.integers(min_value=0, max_value=(1 << 30) - 1).map(lambda x: x * 64),
@@ -131,3 +135,109 @@ def test_rwpair_snapshot_roundtrip(reads, writes):
         assert pair.read.contains(a)
     for a in writes:
         assert pair.write.contains(a)
+
+
+# -- empty pairs answer nothing ------------------------------------------
+#
+# Conflict checks skip a context whose pair reports ``is_empty`` without
+# testing its filters. That is only sound if an empty pair can never
+# report a conflict: whatever its history, ``is_empty`` must imply that
+# no block is ``contains``-ed by either half.
+
+factory_configs = st.sampled_from(
+    [SignatureConfig(kind=SignatureKind.PERFECT)]
+    + [SignatureConfig(kind=kind, bits=bits)
+       for kind in SignatureKind if kind is not SignatureKind.PERFECT
+       for bits in (64, 2048)]
+    + [SignatureConfig(kind=SignatureKind.COARSE_BIT_SELECT, bits=128,
+                       granularity=1024)])
+
+#: A pair's history: ("read"|"write", block), ("clear",), ("save",) or
+#: ("restore",) — restore reloads the latest save (or the empty start).
+pair_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["read", "write"]),
+              st.integers(min_value=0, max_value=(1 << 20) - 1).map(
+                  lambda x: x * 64)),
+    st.tuples(st.sampled_from(["clear", "save", "restore"]))),
+    max_size=40)
+
+probe_blocks = st.lists(
+    st.integers(min_value=0, max_value=(1 << 20) - 1).map(lambda x: x * 64),
+    max_size=20)
+
+
+def _assert_silent_if_empty(pair, probes):
+    if not pair.is_empty:
+        return
+    for block in probes:
+        assert not pair.read.contains(block)
+        assert not pair.write.contains(block)
+        assert not pair.conflicts(False, block)
+        assert not pair.conflicts(True, block)
+
+
+def _replay(pair, ops, probes):
+    """Apply a history, checking the empty-implies-silent property after
+    every step against the probes and every block inserted so far."""
+    saved = pair.snapshot()
+    seen = list(probes)
+    for op in ops:
+        if op[0] == "read":
+            pair.insert_read(op[1])
+            seen.append(op[1])
+        elif op[0] == "write":
+            pair.insert_write(op[1])
+            seen.append(op[1])
+        elif op[0] == "clear":
+            pair.clear()
+        elif op[0] == "save":
+            saved = pair.snapshot()
+        else:
+            pair.restore(saved)
+        _assert_silent_if_empty(pair, seen)
+    pair.clear()
+    _assert_silent_if_empty(pair, seen)
+
+
+@given(cfg=factory_configs, ops=pair_ops, probes=probe_blocks)
+@settings(max_examples=150)
+def test_empty_pair_never_conflicts(cfg, ops, probes):
+    _replay(make_rw_pair(cfg), ops, probes)
+
+
+@given(cfg=factory_configs, ops=pair_ops, probes=probe_blocks,
+       drops=probe_blocks)
+@settings(max_examples=100)
+def test_empty_lossy_pair_never_conflicts(cfg, ops, probes, drops):
+    pair = make_lossy(make_rw_pair(cfg), drops)
+    _replay(pair, ops, probes + drops)
+
+
+@given(cfg=factory_configs,
+       members=st.lists(st.tuples(block_addrs, block_addrs), max_size=4),
+       probes=probe_blocks)
+@settings(max_examples=100)
+def test_empty_counting_summary_never_conflicts(cfg, members, probes):
+    """A summary whose members all left, or whose only member is
+    excluded, is empty and silent."""
+    counting = CountingPair(make_rw_pair(cfg))
+    snaps = []
+    for reads, writes in members:
+        pair = make_rw_pair(cfg)
+        for block in reads:
+            pair.insert_read(block)
+        for block in writes:
+            pair.insert_write(block)
+        snaps.append(pair.snapshot())
+        counting.add(snaps[-1])
+    touched = probes + [b for r, w in members for b in r + w]
+    summary = make_rw_pair(cfg)
+    if len(snaps) == 1:
+        counting.summary_into(summary, exclude=snaps[0])
+        assert summary.is_empty
+        _assert_silent_if_empty(summary, touched)
+    for snap in snaps:
+        counting.remove(snap)
+    counting.summary_into(summary)
+    assert summary.is_empty
+    _assert_silent_if_empty(summary, touched)
