@@ -8,9 +8,10 @@ run is reproducible from ``(seed, config)`` alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
+from typing import Iterable, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -57,6 +58,18 @@ def weighted_choice(rng: random.Random, items: Sequence[T],
     return items[-1]
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _zipf_bounds(n: int, skew: float) -> Tuple[float, Tuple[float, ...]]:
+    """Total and cumulative harmonic weights of ranks ``1..n``: a pure
+    function of its arguments, computed once per shape a workload uses."""
+    total = 0.0
+    bounds = []
+    for rank in range(1, n + 1):
+        total += 1.0 / (rank ** skew)
+        bounds.append(total)
+    return total, tuple(bounds)
+
+
 def zipf_rank(rng: random.Random, n: int, skew: float = 1.0) -> int:
     """Draw a 0-based rank from an (approximate) Zipf distribution over n items.
 
@@ -68,11 +81,7 @@ def zipf_rank(rng: random.Random, n: int, skew: float = 1.0) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if skew < 0:
         raise ValueError(f"skew must be >= 0, got {skew}")
-    total = 0.0
-    bounds = []
-    for rank in range(1, n + 1):
-        total += 1.0 / (rank ** skew)
-        bounds.append(total)
+    total, bounds = _zipf_bounds(n, skew)
     x = rng.random() * total
     lo, hi = 0, n - 1
     while lo < hi:

@@ -391,22 +391,46 @@ class TMManager:
         return pair
 
     def _install_summary(self, slot: HardwareSlot, asid: int,
-                         exclude_tid: Optional[int]) -> None:
-        computed = self._summary_pair(asid, exclude_tid)
-        slot.summary.restore(computed.snapshot())
+                         exclude_tid: Optional[int],
+                         snapshot: Optional[PairSnapshot] = None) -> None:
+        """Install ``asid``'s summary, excluding ``exclude_tid``'s own sets.
+
+        ``snapshot`` is the already computed summary, when the caller has
+        it; it must equal ``_summary_pair(asid, exclude_tid).snapshot()``.
+        """
+        if snapshot is None:
+            snapshot = self._summary_pair(asid, exclude_tid).snapshot()
+        slot.summary.restore(snapshot)
         self._c_summary_installs.add()
         self.stats.emit("os.summary_install", slot=slot.global_id,
                         asid=asid, exclude=exclude_tid)
 
     def _push_summaries(self, asid: int):
-        """Interrupt every context running ``asid`` and install the summary."""
+        """Interrupt every context running ``asid`` and install the summary.
+
+        A context whose thread has no saved signature gets the full union,
+        ``_summary_pair(asid, None)``: it is materialized once per push
+        and restored into each such slot. Only a thread with a saved
+        entry needs its own exclude-self summary.
+        """
+        saved = self._saved.get(asid, {})
+        shared: Optional[PairSnapshot] = None
         interrupted = 0
         for core in self.cores:
             for slot in core.slots:
-                if slot.thread is not None and slot.thread.asid == asid:
-                    self._install_summary(slot, asid,
-                                          exclude_tid=slot.thread.tid)
-                    interrupted += 1
+                thread = slot.thread
+                if thread is None or thread.asid != asid:
+                    continue
+                tid = thread.tid
+                if tid in saved:
+                    snapshot = None
+                else:
+                    if shared is None:
+                        shared = self._summary_pair(asid, None).snapshot()
+                    snapshot = shared
+                self._install_summary(slot, asid, exclude_tid=tid,
+                                      snapshot=snapshot)
+                interrupted += 1
         if interrupted:
             yield self.cfg.tm.summary_interrupt_cycles
         return interrupted

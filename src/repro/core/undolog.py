@@ -28,7 +28,8 @@ class UndoRecord:
     """Old contents of one block, keyed by virtual address."""
 
     vblock: int                 # block-aligned virtual address
-    old_words: Dict[int, int]   # vaddr -> previous value, one per word
+    old_words: Dict[int, int]   # vaddr -> previous value, one per word,
+                                # ascending from vblock
 
 
 @dataclass
@@ -119,13 +120,16 @@ class UndoLog:
 
     def append(self, vblock: int, memory: PhysicalMemory,
                translate: Callable[[int], int]) -> UndoRecord:
-        """Log the current contents of the block containing ``vblock``."""
-        # Per-word translation is deliberate: a block may straddle a page
-        # under relocation, so each word resolves through the page table.
-        load = memory.load
-        old_words: Dict[int, int] = {
-            vaddr: load(translate(vaddr))
-            for vaddr in range(vblock, vblock + self.block_bytes, WORD_BYTES)}
+        """Log the current contents of the block at ``vblock``.
+
+        ``vblock`` is block-aligned, and the configuration makes the page
+        size a multiple of the block size, so a block never straddles a
+        page: one translation covers all of its words.
+        """
+        block_bytes = self.block_bytes
+        old_words: Dict[int, int] = dict(zip(
+            range(vblock, vblock + block_bytes, WORD_BYTES),
+            memory.load_block(translate(vblock), block_bytes)))
         record = UndoRecord(vblock=vblock, old_words=old_words)
         self.current.records.append(record)
         self.appended += 1
@@ -144,8 +148,10 @@ class UndoLog:
         depth = self.depth
         frame = self.pop_frame()
         for record in reversed(frame.records):
-            for vaddr, old in record.old_words.items():
-                memory.store(translate(vaddr), old)
+            # One translation per record: its words fill one block, which
+            # lies within one page (see ``append``).
+            memory.store_block(translate(record.vblock),
+                               record.old_words.values())
         if self._stats is not None and self._stats.recorder is not None:
             self._stats.emit("log.unroll", thread=self._thread_id,
                              records=len(frame.records), depth=depth)

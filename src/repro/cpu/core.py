@@ -318,12 +318,12 @@ class Core(ConflictPort):
 
             # (1) Summary signature: checked on every reference.
             # (Lazy mode has neither summary signatures nor execution-time
-            # conflicts — Bulk is not virtualizable this way. The emptiness
-            # test reads the exact shadows directly: the common case is an
-            # empty summary, and it must cost two attribute loads, not four
-            # chained properties.)
+            # conflicts — Bulk is not virtualizable this way. The common
+            # case is an empty summary; ``is_empty`` is a plain attribute
+            # on each half, so the test is two attribute loads.)
             if (not lazy and summary is not None
-                    and (summary.read._exact or summary.write._exact)
+                    and not (summary.read.is_empty
+                             and summary.write.is_empty)
                     and summary.conflicts(is_write, block)):
                 self._c_summary.add()
                 summary_fp = summary.conflict_is_false_positive(
@@ -480,9 +480,14 @@ class Core(ConflictPort):
         blockers: List[Blocker] = []
         for slot in self.slots:
             other = slot.thread
-            if other is None or other.tid == tid or other.asid != asid:
+            if other is None or other.tid == tid:
                 continue
             sig = other.ctx.signature
+            # An empty pair cannot conflict: skip it before the ASID lookup,
+            # as check_conflicts does.
+            if (sig.read.is_empty and sig.write.is_empty) or \
+                    other.asid != asid:
+                continue
             if sig.conflicts(is_write, block):
                 other.ctx.note_nacked_older(requester_ts)
                 blockers.append(Blocker(

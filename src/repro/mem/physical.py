@@ -12,7 +12,7 @@ convention, but any integer address maps to its containing word.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 WORD_BYTES = 8
 
@@ -56,6 +56,45 @@ class PhysicalMemory:
         else:
             self._words[word] = value
         return old
+
+    def load_block(self, addr: int, nbytes: int) -> List[int]:
+        """Read the ``nbytes // WORD_BYTES`` words starting at ``addr``.
+
+        Equal to ``[load(a) for a in range(addr, addr + nbytes,
+        WORD_BYTES)]``, with the bounds checked at the first and last word
+        only; an out-of-range block raises the same :class:`IndexError`,
+        naming the first word outside memory.
+        """
+        end = addr + nbytes
+        if not (0 <= addr and end - WORD_BYTES < self.capacity_bytes):
+            for word in range(addr, end, WORD_BYTES):
+                self._check(word)
+        get = self._words.get
+        return [get(word & _WORD_MASK, 0)
+                for word in range(addr, end, WORD_BYTES)]
+
+    def store_block(self, addr: int, values: Iterable[int]) -> None:
+        """Write ``values`` to consecutive words starting at ``addr``.
+
+        Equal to calling :meth:`store` on each word in ascending order:
+        a block that runs past the end of memory writes the words inside
+        it, then raises the same :class:`IndexError`.
+        """
+        values = list(values)
+        last = addr + (len(values) - 1) * WORD_BYTES
+        if not (0 <= addr and last < self.capacity_bytes):
+            for value in values:
+                self.store(addr, value)
+                addr += WORD_BYTES
+            return
+        words = self._words
+        for value in values:
+            word = addr & _WORD_MASK
+            if value == 0:
+                words.pop(word, None)
+            else:
+                words[word] = value
+            addr += WORD_BYTES
 
     def copy_range(self, src: int, dst: int, nbytes: int) -> None:
         """Copy a byte range (used by the paging model when moving a page)."""

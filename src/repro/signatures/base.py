@@ -31,12 +31,21 @@ Snapshot = Tuple[Any, FrozenSet[int]]
 
 
 class Signature(abc.ABC):
-    """One conservative address-set summary (a read-set OR a write-set)."""
+    """One conservative address-set summary (a read-set OR a write-set).
 
-    __slots__ = ("_exact",)
+    ``is_empty`` (nothing inserted since the last clear) is a plain
+    attribute, not a computation: every mutator — ``insert``, ``clear``,
+    ``restore``, ``union_update`` — keeps it exact, equal to
+    ``not exact_set()``. A subclass that flattens ``insert`` must set it
+    to False too. Conflict scans read it for every context on every
+    coherence request, and almost every context is outside a transaction.
+    """
+
+    __slots__ = ("_exact", "is_empty")
 
     def __init__(self) -> None:
         self._exact: Set[int] = set()
+        self.is_empty = True
 
     # -- hardware interface -------------------------------------------------
 
@@ -44,6 +53,7 @@ class Signature(abc.ABC):
         """INSERT: add a block-aligned physical address to the set."""
         self._insert_filter(block_addr)
         self._exact.add(block_addr)
+        self.is_empty = False
 
     def contains(self, block_addr: int) -> bool:
         """CONFLICT test: True if the address *may* be in the set."""
@@ -53,11 +63,7 @@ class Signature(abc.ABC):
         """CLEAR: empty the set (a local, single-cycle operation)."""
         self._clear_filter()
         self._exact.clear()
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether nothing was inserted since the last clear."""
-        return not self._exact
+        self.is_empty = True
 
     # -- software accessibility (virtualization) ----------------------------
 
@@ -70,6 +76,7 @@ class Signature(abc.ABC):
         filter_state, exact = snap
         self._load_filter_state(filter_state)
         self._exact = set(exact)
+        self.is_empty = not exact
 
     def union_update(self, other: "Signature") -> None:
         """OR another signature of the same type into this one.
@@ -82,6 +89,7 @@ class Signature(abc.ABC):
                 f"{type(self).__name__}")
         self._union_filter(other)
         self._exact |= other._exact
+        self.is_empty = self.is_empty and other.is_empty
 
     def union_snapshot(self, snap: Snapshot) -> None:
         """OR a saved snapshot into this signature."""

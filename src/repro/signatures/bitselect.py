@@ -43,6 +43,7 @@ class BitSelectSignature(Signature):
         self._mask |= 1 << ((block_addr >> self._block_shift)
                             & self._index_mask)
         self._exact.add(block_addr)
+        self.is_empty = False
 
     def contains(self, block_addr: int) -> bool:
         return bool(self._mask

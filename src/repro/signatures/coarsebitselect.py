@@ -42,6 +42,7 @@ class CoarseBitSelectSignature(Signature):
         self._mask |= 1 << ((block_addr >> self._macro_shift)
                             & self._index_mask)
         self._exact.add(block_addr)
+        self.is_empty = False
 
     def contains(self, block_addr: int) -> bool:
         return bool(self._mask

@@ -27,13 +27,16 @@ from repro.signatures.base import Signature, Snapshot
 
 
 def _mask_bits(mask: int):
-    """Yield set-bit positions of an integer mask."""
-    position = 0
+    """Yield set-bit positions of a non-negative integer mask, ascending.
+
+    Walks the set bits, not the bit positions: ``mask & -mask`` isolates
+    the lowest set bit, so a 2,048-bit filter with a handful of bits set
+    costs a handful of iterations.
+    """
     while mask:
-        if mask & 1:
-            yield position
-        mask >>= 1
-        position += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class CountingSignature:

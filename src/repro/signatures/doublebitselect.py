@@ -50,6 +50,7 @@ class DoubleBitSelectSignature(Signature):
         self._lo |= 1 << (idx & self._half_mask)
         self._hi |= 1 << ((idx >> self._field_shift) & self._half_mask)
         self._exact.add(block_addr)
+        self.is_empty = False
 
     def contains(self, block_addr: int) -> bool:
         idx = block_addr >> self._block_shift

@@ -132,6 +132,7 @@ class HashedSignature(Signature):
             mask |= 1 << index
         self._mask = mask
         self._exact.add(block_addr)
+        self.is_empty = False
 
     def contains(self, block_addr: int) -> bool:
         mask = self._mask

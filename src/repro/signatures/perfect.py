@@ -22,6 +22,7 @@ class PerfectSignature(Signature):
     # insert/contains collapse to one set operation each.
     def insert(self, block_addr: int) -> None:
         self._exact.add(block_addr)
+        self.is_empty = False
 
     def contains(self, block_addr: int) -> bool:
         return block_addr in self._exact

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.signatures.bitselect import BitSelectSignature
 from repro.signatures.coarsebitselect import CoarseBitSelectSignature
-from repro.signatures.counting import CountingPair, CountingSignature
+from repro.signatures.counting import CountingPair, CountingSignature, _mask_bits
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
 from repro.signatures.hashed import HashedSignature
 from repro.signatures.perfect import PerfectSignature
@@ -108,3 +108,22 @@ def test_pair_exclusion_is_pure(reads, writes):
         assert target2.read.contains(a)
     for a in writes:
         assert target2.write.contains(a)
+
+
+def _positional_mask_bits(mask):
+    """Reference: shift through every bit position up to the highest."""
+    position = 0
+    while mask:
+        if mask & 1:
+            yield position
+        mask >>= 1
+        position += 1
+
+
+@given(mask=st.one_of(
+    st.integers(min_value=0, max_value=(1 << 2048) - 1),
+    st.sets(st.integers(min_value=0, max_value=2047), max_size=12).map(
+        lambda bits: sum(1 << b for b in bits))))
+@settings(max_examples=300)
+def test_mask_bits_matches_positional_walk(mask):
+    assert list(_mask_bits(mask)) == list(_positional_mask_bits(mask))

@@ -119,6 +119,66 @@ class TestDeschedule:
             run(system, system.manager.deschedule(slot))
 
 
+class _EventLog:
+    def __init__(self):
+        self.events = []
+
+    def record(self, kind, **fields):
+        self.events.append((kind, fields))
+
+
+class TestSummaryPush:
+    def test_mixed_saved_and_unsaved_threads_match_per_slot_recompute(self):
+        """One shared summary for unsaved threads, exclude-self summaries
+        for rescheduled ones: the same snapshots, counter and events as
+        computing every slot's summary on its own."""
+        system, threads = build(num_cores=2, threads_per_core=2,
+                                signature=SignatureKind.BIT_SELECT)
+        manager = system.manager
+        t0, t1, t2, t3 = threads
+        asid = t0.asid
+        # t0 and t2 are rescheduled mid-transaction: they keep saved
+        # entries until their commit trap. Each thread touches its own
+        # in-page block offsets, so no two sets alias in the filter.
+        for thread, addr in ((t0, 0x100), (t2, 0x2380)):
+            slot = thread.slot
+            run(system, manager.begin(slot))
+            run(system, slot.core.store(slot, addr, 1))
+            run(system, slot.core.load(slot, addr + 0x40))
+            run(system, manager.deschedule(slot))
+            run(system, manager.schedule(thread, slot))
+        # t1 deschedules mid-transaction; t3 never saves anything.
+        slot1 = t1.slot
+        run(system, manager.begin(slot1))
+        run(system, slot1.core.store(slot1, 0x4600, 1))
+        saved = manager.saved_signatures(asid)
+        assert set(saved) == {t0.tid, t2.tid}
+
+        log = _EventLog()
+        system.stats.recorder = log
+        installs = system.stats.counter("os.summary_installs")
+        before = installs.value
+        run(system, manager.deschedule(slot1))
+        system.stats.recorder = None
+
+        running = [slot for core in system.cores for slot in core.slots
+                   if slot.thread is not None and slot.thread.asid == asid]
+        assert {slot.thread.tid for slot in running} == {t0.tid, t2.tid,
+                                                         t3.tid}
+        for slot in running:
+            expected = manager._summary_pair(asid, slot.thread.tid)
+            assert slot.summary.snapshot() == expected.snapshot()
+        assert installs.value - before == len(running)
+        assert [fields for kind, fields in log.events
+                if kind == "os.summary_install"] == [
+            {"slot": slot.global_id, "asid": asid, "exclude": slot.thread.tid}
+            for slot in running]
+        # Slots restored from one shared snapshot do not alias each other.
+        t3.slot.summary.insert_write(0x7FC0)
+        assert (t0.slot.summary.snapshot()
+                == manager._summary_pair(asid, t0.tid).snapshot())
+
+
 class TestRescheduleAndMigration:
     def _desched_with_tx(self, system, thread, addr=0x100):
         slot = thread.slot

@@ -94,3 +94,29 @@ class TestZipfRank:
             zipf_rank(random.Random(0), 0)
         with pytest.raises(ValueError):
             zipf_rank(random.Random(0), 5, skew=-1)
+
+    def test_matches_uncached_reference(self):
+        """Cached harmonic bounds draw exactly what a per-call rebuild did."""
+        def reference(rng, n, skew):
+            total = 0.0
+            bounds = []
+            for rank in range(1, n + 1):
+                total += 1.0 / (rank ** skew)
+                bounds.append(total)
+            x = rng.random() * total
+            lo, hi = 0, n - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if x < bounds[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        shapes = [(125, 0.4), (105, 0.1), (10, 1.0), (1, 0.0), (7, 0.0)]
+        ours, theirs = random.Random(7), random.Random(7)
+        pick = random.Random(11)
+        for _ in range(2000):
+            n, skew = shapes[pick.randrange(len(shapes))]
+            assert zipf_rank(ours, n, skew) == reference(theirs, n, skew)
+        assert ours.random() == theirs.random()

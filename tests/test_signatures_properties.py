@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import SignatureConfig, SignatureKind
 from repro.signatures.counting import CountingPair
-from repro.signatures.factory import make_rw_pair
+from repro.signatures.factory import make_rw_pair, make_signature
 from repro.signatures.bitselect import BitSelectSignature
 from repro.signatures.coarsebitselect import CoarseBitSelectSignature
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
@@ -241,3 +241,51 @@ def test_empty_counting_summary_never_conflicts(cfg, members, probes):
     counting.summary_into(summary)
     assert summary.is_empty
     _assert_silent_if_empty(summary, touched)
+
+
+# -- emptiness is state ------------------------------------------------------
+#
+# ``Signature.is_empty`` is a plain attribute, not a computation over the
+# exact shadow. Every mutator must keep it equal to ``not exact_set()``.
+
+#: One signature's history: ("insert", block), ("insert_many", blocks),
+#: ("clear",), ("save",), ("restore",), ("union", blocks) — OR in a fresh
+#: signature holding ``blocks`` — and ("union_snapshot",), which ORs in
+#: the latest save (or the empty start).
+signature_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"),
+              st.integers(min_value=0, max_value=(1 << 20) - 1).map(
+                  lambda x: x * 64)),
+    st.tuples(st.sampled_from(["insert_many", "union"]), probe_blocks),
+    st.tuples(st.sampled_from(["clear", "save", "restore",
+                               "union_snapshot"]))),
+    max_size=40)
+
+
+@given(cfg=factory_configs, ops=signature_ops)
+@settings(max_examples=200)
+def test_is_empty_tracks_exact_set(cfg, ops):
+    sig = make_signature(cfg)
+    assert not isinstance(getattr(type(sig), "is_empty"), property)
+    saved = sig.snapshot()
+    assert sig.is_empty is True
+    for op in ops:
+        if op[0] == "insert":
+            sig.insert(op[1])
+        elif op[0] == "insert_many":
+            sig.insert_many(op[1])
+        elif op[0] == "clear":
+            sig.clear()
+        elif op[0] == "save":
+            saved = sig.snapshot()
+        elif op[0] == "restore":
+            sig.restore(saved)
+        elif op[0] == "union":
+            other = sig.spawn_empty()
+            other.insert_many(op[1])
+            assert other.is_empty == (not op[1])
+            sig.union_update(other)
+        else:
+            sig.union_snapshot(saved)
+        assert sig.is_empty == (not sig.exact_set())
+        assert sig.is_empty == (sig.exact_size == 0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import TransactionError
-from repro.core.undolog import UndoLog
+from repro.core.undolog import UndoLog, UndoRecord
 from repro.mem.physical import WORD_BYTES, PhysicalMemory
 
 IDENTITY = lambda vaddr: vaddr
@@ -152,3 +152,86 @@ class TestNestingSemantics:
         log.append(64, mem, IDENTITY)
         assert log.total_records == 2
         assert log.appended == 2
+
+
+class TestBlockTranslation:
+    """``append``/``unroll_frame`` translate once per block; the result must
+    equal translating and accessing every word on its own."""
+
+    @staticmethod
+    def reference_capture(vblock, mem, translate, block_bytes=64):
+        return {vaddr: mem.load(translate(vaddr))
+                for vaddr in range(vblock, vblock + block_bytes, WORD_BYTES)}
+
+    @staticmethod
+    def reference_restore(old_words, mem, translate):
+        for vaddr, old in old_words.items():
+            mem.store(translate(vaddr), old)
+
+    def test_capture_and_restore_match_per_word(self):
+        frames = {0x0: 0x8000, 0x1000: 0x3000}
+        translate = lambda v: frames[v & ~0xFFF] + (v & 0xFFF)
+        log, mem = make_log()
+        ref = PhysicalMemory(1 << 20)
+        for i, vaddr in enumerate(range(0x0, 0x2000, WORD_BYTES)):
+            value = (i * 7919) % 5       # includes zeros (sparse words)
+            mem.store(translate(vaddr), value)
+            ref.store(translate(vaddr), value)
+        log.push_frame()
+        ref_records = []
+        for vblock in (0x40, 0xFC0, 0x1000, 0x1FC0):
+            record = log.append(vblock, mem, translate)
+            expected = self.reference_capture(vblock, ref, translate)
+            assert record.old_words == expected
+            assert list(record.old_words) == list(expected)
+            ref_records.append(expected)
+            for off in range(0, 64, WORD_BYTES):
+                mem.store(translate(vblock + off), 9)
+                ref.store(translate(vblock + off), 9)
+        frames[0x1000] = 0x5000          # relocated before the abort
+        log.unroll_frame(mem, translate)
+        for old_words in reversed(ref_records):
+            self.reference_restore(old_words, ref, translate)
+        assert list(mem.nonzero_words()) == list(ref.nonzero_words())
+
+    def test_capacity_edge_raises_like_per_word(self):
+        capacity = 0x1000 + 3 * WORD_BYTES   # last block is cut short
+        mem = PhysicalMemory(capacity)
+        log = UndoLog(block_bytes=64)
+        log.push_frame()
+        with pytest.raises(IndexError) as ours:
+            log.append(0x1000, mem, IDENTITY)
+        with pytest.raises(IndexError) as theirs:
+            self.reference_capture(0x1000, mem, IDENTITY)
+        assert str(ours.value) == str(theirs.value)
+        # The last in-range block still captures in full.
+        record = log.append(0xFC0, mem, IDENTITY)
+        assert record.old_words == self.reference_capture(0xFC0, mem,
+                                                          IDENTITY)
+
+    def test_capacity_edge_restore_writes_then_raises(self):
+        capacity = 0x1000 + 3 * WORD_BYTES
+        old_words = {0x1000 + off: off + 1 for off in range(0, 64, 8)}
+        ours, theirs = PhysicalMemory(capacity), PhysicalMemory(capacity)
+        log = UndoLog(block_bytes=64)
+        log.push_frame()
+        log.current.records.append(UndoRecord(0x1000, dict(old_words)))
+        with pytest.raises(IndexError) as err_ours:
+            log.unroll_frame(ours, IDENTITY)
+        with pytest.raises(IndexError) as err_theirs:
+            self.reference_restore(old_words, theirs, IDENTITY)
+        assert str(err_ours.value) == str(err_theirs.value)
+        assert list(ours.nonzero_words()) == list(theirs.nonzero_words())
+        assert len(ours) == 3
+
+    def test_block_reads_and_writes_match_words(self):
+        mem = PhysicalMemory(1 << 16)
+        for addr in range(0, 256, WORD_BYTES):
+            mem.store(addr, addr // 8 % 3)
+        assert mem.load_block(64, 64) == [mem.load(a)
+                                          for a in range(64, 128, 8)]
+        mem.store_block(128, [0, 5, 0, 7])
+        assert [mem.load(a) for a in range(128, 160, 8)] == [0, 5, 0, 7]
+        assert 128 not in dict(mem.nonzero_words())   # zeros stay sparse
+        with pytest.raises(IndexError):
+            mem.load_block(-8, 16)
